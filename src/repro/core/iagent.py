@@ -7,6 +7,10 @@ pattern derived from its leaf's hyper-label -- and refuses requests for
 agents outside it with a ``not-responsible`` reply, which is what
 triggers the lazy propagation of hash-function updates (§4.3).
 
+The record table and its handlers live in :mod:`repro.core.records`,
+shared with the live service; this class is the simulator's driver: the
+mailbox, the load report, relay mail (messaging) and placement.
+
 IAgents are themselves mobile agents; with the placement extension
 enabled (paper §7) they periodically migrate towards the node hosting
 the plurality of the agents they serve.
@@ -17,7 +21,7 @@ Wire protocol (op -> body -> reply):
 ``register``       ``{"agent": AgentId, "node": str}``            status
 ``update``         ``{"agent": AgentId, "node": str}``            status
 ``unregister``     ``{"agent": AgentId}``                         status
-``locate``         ``{"agent": AgentId}``                         status + node
+``locate``         ``{"agent": AgentId}``                         status + node + seq
 ``get-loads``      --                                             per-agent loads
 ``extract``        ``{"pattern": str}``                           evicted records
 ``extract-all``    --                                             all records
@@ -25,9 +29,10 @@ Wire protocol (op -> body -> reply):
 ``set-coverage``   ``{"pattern": str}``                           status
 =================  =============================================  =======
 
-Replies are dicts with a ``"status"`` key: ``"ok"``, ``"not-responsible"``
-or ``"no-record"``. Using statuses instead of exceptions keeps the
-NOT_RESPONSIBLE path a first-class protocol outcome, as in the paper.
+Records travel as ``[node, seq]`` pairs. Replies are dicts with a
+``"status"`` key: ``"ok"``, ``"not-responsible"`` or ``"no-record"``.
+Using statuses instead of exceptions keeps the NOT_RESPONSIBLE path a
+first-class protocol outcome, as in the paper.
 """
 
 from __future__ import annotations
@@ -35,34 +40,19 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from repro.core.load import GroupedLoadStatistics, LoadStatistics
-from repro.discovery.capability import matches_predicate, validate_capabilities
-from repro.discovery.hamming import ids_within
+from repro.core.records import (
+    NO_RECORD,
+    NOT_RESPONSIBLE,
+    OK,
+    RecordTable,
+    pattern_matches,
+)
 from repro.platform.agents import MobileAgent
 from repro.platform.events import Timeout
 from repro.platform.messages import Request, RpcError
 from repro.platform.naming import AgentId
 
-__all__ = ["IAgent", "pattern_matches"]
-
-#: Status strings of the IAgent protocol.
-OK = "ok"
-NOT_RESPONSIBLE = "not-responsible"
-NO_RECORD = "no-record"
-
-
-def pattern_matches(pattern: Optional[str], bits: str) -> bool:
-    """Whether id ``bits`` fall inside a coverage ``pattern``.
-
-    ``pattern`` uses ``0``/``1`` for constrained positions and ``x`` for
-    wildcards (see :meth:`repro.core.labels.HyperLabel.pattern`). ``""``
-    covers everything; ``None`` covers nothing (a freshly created IAgent
-    that has not been handed its coverage yet).
-    """
-    if pattern is None:
-        return False
-    if len(pattern) > len(bits):
-        return False
-    return all(p in ("x", b) for p, b in zip(pattern, bits))
+__all__ = ["IAgent", "NO_RECORD", "NOT_RESPONSIBLE", "OK", "pattern_matches"]
 
 
 class IAgent(MobileAgent):
@@ -75,18 +65,6 @@ class IAgent(MobileAgent):
         self.service_time = mechanism.config.iagent_service_time
         self.mailbox.set_service_time(self.service_time)
         self.mechanism = mechanism
-        #: Coverage pattern; None until the HAgent hands one over.
-        self.coverage: Optional[str] = None
-        #: agent id -> node name (the paper's "precise current location").
-        self.records: Dict[AgentId, str] = {}
-        #: agent id -> typed capability set (the discovery subsystem).
-        #: Capabilities ride with the location record: extract/adopt
-        #: move them alongside, so rehashing never strands them.
-        self.capabilities: Dict[AgentId, Dict] = {}
-        #: agent id -> list of undelivered relay messages (the messaging
-        #: extension, :mod:`repro.core.messaging`): each entry is a dict
-        #: with ``payload``, ``ack`` routing info and a ``deadline``.
-        self.pending_messages: Dict[AgentId, list] = {}
         config = mechanism.config
         if config.stats_granularity == "grouped":
             self.stats = GroupedLoadStatistics(
@@ -94,7 +72,21 @@ class IAgent(MobileAgent):
             )
         else:
             self.stats = LoadStatistics(config.rate_window)
+        #: Coverage, records (agent id -> [node, seq]; the simulator sends
+        #: no sequence numbers, so every seq is 0) and capability sets,
+        #: answered through the handlers shared with the live service.
+        self.table = RecordTable(self.stats, lambda: self.sim.now)
+        #: agent id -> list of undelivered relay messages (the messaging
+        #: extension, :mod:`repro.core.messaging`): each entry is a dict
+        #: with ``payload``, ``ack`` routing info and a ``deadline``.
+        self.pending_messages: Dict[AgentId, list] = {}
         self._reporter_running = False
+
+    # The table's state, read-only: coverage (None until the HAgent
+    # hands one over), records and capability sets.
+    coverage = property(lambda self: self.table.coverage)
+    records = property(lambda self: self.table.records)
+    capabilities = property(lambda self: self.table.capabilities)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -148,112 +140,36 @@ class IAgent(MobileAgent):
         return handler(request.body or {})
 
     def _op_register(self, body: Dict) -> Dict:
-        agent_id, node = body["agent"], body["node"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.records[agent_id] = node
-        caps = body.get("capabilities")
-        if caps is not None:
-            self.capabilities[agent_id] = validate_capabilities(caps)
-        self.stats.record_update(agent_id, self.sim.now)
-        return {"status": OK}
+        return self.table.register(body)[0]
 
     def _op_update(self, body: Dict) -> Dict:
-        agent_id, node = body["agent"], body["node"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.records[agent_id] = node
-        self.stats.record_update(agent_id, self.sim.now)
-        if self.pending_messages.get(agent_id):
+        reply = self.table.update(body)[0]
+        agent_id = body["agent"]
+        if reply["status"] == OK and self.pending_messages.get(agent_id):
             # The messaging extension: an update is the moment a fast
             # mover is pinned down -- chase it with its relay mail.
             self.sim.spawn(
-                self._forward_pending(agent_id, node),
+                self._forward_pending(agent_id, body["node"]),
                 name=f"relay-{agent_id.short()}",
             )
-        return {"status": OK}
+        return reply
 
     def _op_unregister(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.records.pop(agent_id, None)
-        self.capabilities.pop(agent_id, None)
-        self.stats.forget_agent(agent_id)
-        return {"status": OK}
+        return self.table.unregister(body)[0]
 
     def _op_locate(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.stats.record_query(agent_id, self.sim.now)
-        node = self.records.get(agent_id)
-        if node is None:
-            return {"status": NO_RECORD}
-        return {"status": OK, "node": node}
+        return self.table.locate(body)[0]
 
     # -- discovery subsystem ---------------------------------------------
 
-    def _check_candidate_pattern(self, body: Dict) -> Optional[Dict]:
-        """Staleness gate for multi-result queries.
-
-        The querying side learned of this IAgent from a secondary copy
-        and passes the coverage pattern that copy attributed to it. If
-        our actual coverage differs -- we split, merged or took over
-        since -- answering would silently return a partial result set,
-        so bounce with NOT_RESPONSIBLE and let the §4.3 refresh loop
-        recompute the candidates.
-        """
-        pattern = body.get("pattern")
-        if pattern is not None and pattern != self.coverage:
-            return {"status": NOT_RESPONSIBLE}
-        return None
-
     def _op_set_capabilities(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        if agent_id not in self.records:
-            return {"status": NO_RECORD}
-        caps = body.get("capabilities")
-        if caps is None:
-            self.capabilities.pop(agent_id, None)
-        else:
-            self.capabilities[agent_id] = validate_capabilities(caps)
-        self.stats.record_update(agent_id, self.sim.now)
-        return {"status": OK}
+        return self.table.set_capabilities(body)[0]
 
     def _op_discover_similar(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        matches = [
-            {
-                "agent": other,
-                "node": self.records[other],
-                "seq": 0,
-                "distance": dist,
-            }
-            for other, dist in ids_within(self.records, body["agent"], body["d"])
-        ]
-        return {"status": OK, "matches": matches}
+        return self.table.discover_similar(body)[0]
 
     def _op_discover_capability(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        predicate = body["predicate"]
-        matches = [
-            {
-                "agent": agent_id,
-                "node": self.records[agent_id],
-                "seq": 0,
-                "capabilities": caps,
-            }
-            for agent_id, caps in sorted(self.capabilities.items())
-            if agent_id in self.records and matches_predicate(caps, predicate)
-        ]
-        return {"status": OK, "matches": matches}
+        return self.table.discover_capability(body)[0]
 
     # -- messaging extension (paper §6 future work) ----------------------
 
@@ -270,10 +186,10 @@ class IAgent(MobileAgent):
             "attempts": 0,
         }
         self.pending_messages.setdefault(target, []).append(entry)
-        node = self.records.get(target)
-        if node is not None:
+        record = self.records.get(target)
+        if record is not None:
             self.sim.spawn(
-                self._forward_pending(target, node),
+                self._forward_pending(target, record[0]),
                 name=f"relay-{target.short()}",
             )
         return {"status": OK}
@@ -335,97 +251,47 @@ class IAgent(MobileAgent):
     # -- rehashing support ---------------------------------------------
 
     def _op_get_loads(self, body: Dict) -> Dict:
-        """Accumulated loads keyed by bit strings (paper §4.1).
-
-        With per-agent statistics the keys are full id bit strings; with
-        grouped statistics they are ``stats_group_depth``-bit prefixes --
-        the split planner copes with either.
-        """
-        if getattr(self.stats, "grouped", False):
-            loads = self.stats.loads()
-        else:
-            loads = {
-                agent_id.bits: load
-                for agent_id, load in self.stats.per_agent.items()
-            }
-        return {
-            "status": OK,
-            "loads": loads,
-            "rate": self.stats.rate(self.sim.now),
-        }
-
-    def _load_of(self, agent_id: AgentId) -> int:
-        """This agent's (possibly estimated) accumulated load."""
-        if getattr(self.stats, "grouped", False):
-            return self.stats.estimated_agent_load(agent_id)
-        return self.stats.per_agent.get(agent_id, 0)
+        return self.table.get_loads(body)[0]
 
     def _op_extract(self, body: Dict) -> Dict:
-        """Shrink coverage to ``pattern``; hand back everything outside it."""
-        pattern = body["pattern"]
-        moved_records: Dict[AgentId, str] = {}
-        moved_loads: Dict[AgentId, int] = {}
-        moved_pending: Dict[AgentId, list] = {}
-        moved_caps: Dict[AgentId, Dict] = {}
-        for agent_id in list(self.records):
-            if not pattern_matches(pattern, agent_id.bits):
-                moved_records[agent_id] = self.records.pop(agent_id)
-                moved_loads[agent_id] = self._load_of(agent_id)
-                self.stats.forget_agent(agent_id)
-                if agent_id in self.capabilities:
-                    moved_caps[agent_id] = self.capabilities.pop(agent_id)
-                if agent_id in self.pending_messages:
-                    moved_pending[agent_id] = self.pending_messages.pop(agent_id)
+        """Shrink coverage to ``pattern``; hand back everything outside it,
+        relay mail included."""
+        reply = self.table.extract(body)[0]
+        pending = self.pending_messages
+        moved_pending = {
+            agent_id: pending.pop(agent_id)
+            for agent_id in reply["records"]
+            if agent_id in pending
+        }
         # Orphaned relay mail for agents that never registered here also
         # moves if their ids fall outside the new coverage.
-        for agent_id in list(self.pending_messages):
-            if not pattern_matches(pattern, agent_id.bits):
-                moved_pending[agent_id] = self.pending_messages.pop(agent_id)
-        self.coverage = pattern
-        self.stats.total.reset(self.sim.now)
-        return {
-            "status": OK,
-            "records": moved_records,
-            "loads": moved_loads,
-            "pending": moved_pending,
-            "capabilities": moved_caps,
-        }
+        for agent_id in list(pending):
+            if not pattern_matches(body["pattern"], agent_id.bits):
+                moved_pending[agent_id] = pending.pop(agent_id)
+        reply["pending"] = moved_pending
+        return reply
 
     def _op_extract_all(self, body: Dict) -> Dict:
         """Give up everything (this IAgent is being merged away)."""
-        records, self.records = self.records, {}
-        pending, self.pending_messages = self.pending_messages, {}
-        caps, self.capabilities = self.capabilities, {}
-        loads = {agent_id: self._load_of(agent_id) for agent_id in records}
-        for agent_id in records:
-            self.stats.forget_agent(agent_id)
-        self.coverage = None
-        return {"status": OK, "records": records, "loads": loads,
-                "pending": pending, "capabilities": caps}
+        reply = self.table.extract_all(body)[0]
+        reply["pending"], self.pending_messages = self.pending_messages, {}
+        return reply
 
     def _op_adopt(self, body: Dict) -> Dict:
-        """Take over transferred records (and optionally new coverage)."""
-        if "pattern" in body:
-            self.coverage = body["pattern"]
-        for agent_id, node in body.get("records", {}).items():
-            self.records[agent_id] = node
-        for agent_id, caps in body.get("capabilities", {}).items():
-            self.capabilities[agent_id] = caps
-        for agent_id, load in body.get("loads", {}).items():
-            self.stats.adopt_agent(agent_id, load)
+        """Take over transferred records, relay mail and coverage."""
+        reply = self.table.adopt(body)[0]
         for agent_id, entries in body.get("pending", {}).items():
             self.pending_messages.setdefault(agent_id, []).extend(entries)
-            node = self.records.get(agent_id)
-            if node is not None:
+            record = self.records.get(agent_id)
+            if record is not None:
                 self.sim.spawn(
-                    self._forward_pending(agent_id, node),
+                    self._forward_pending(agent_id, record[0]),
                     name=f"relay-{agent_id.short()}",
                 )
-        return {"status": OK}
+        return reply
 
     def _op_set_coverage(self, body: Dict) -> Dict:
-        self.coverage = body["pattern"]
-        return {"status": OK}
+        return self.table.set_coverage(body)[0]
 
     def _op_ping(self, body: Dict) -> Dict:
         return {"status": OK, "node": self.node_name, "records": len(self.records)}
@@ -444,7 +310,7 @@ class IAgent(MobileAgent):
         if len(self.records) < self.mechanism.config.placement_min_records:
             return None
         counts: Dict[str, int] = {}
-        for node in self.records.values():
+        for node, _ in self.records.values():
             counts[node] = counts.get(node, 0) + 1
         best_node = max(counts, key=lambda name: (counts[name], name))
         if counts[best_node] < self.mechanism.config.placement_majority * len(

@@ -31,7 +31,29 @@ from repro.platform.agents import Agent
 from repro.platform.messages import Request, RpcError
 from repro.platform.naming import AgentId
 
-__all__ = ["LHAgent", "HashFunctionCopy"]
+__all__ = ["LHAgent", "HashFunctionCopy", "apply_journal_entry"]
+
+
+def apply_journal_entry(tree: HashTree, iagent_nodes: Dict, entry: Dict) -> None:
+    """Apply one rehash journal entry to a tree and its IAgent directory.
+
+    The one split / merge / move transition: secondary copies catching
+    up by delta and the live HAgent replaying its WAL or a standby sync
+    all go through it. An unknown entry kind raises :class:`CoreError`.
+    """
+    kind = entry["op"]
+    if kind == "split":
+        tree.replay_split(
+            entry["kind"], entry["owner"], entry["bit"], entry["new_owner"]
+        )
+        iagent_nodes[entry["new_owner"]] = entry["new_node"]
+    elif kind == "merge":
+        tree.apply_merge(entry["owner"])
+        iagent_nodes.pop(entry["owner"], None)
+    elif kind == "move":
+        iagent_nodes[entry["owner"]] = entry["node"]
+    else:
+        raise CoreError(f"unknown journal op {kind!r}")
 
 
 class HashFunctionCopy:
@@ -61,26 +83,11 @@ class HashFunctionCopy:
         delivery), so replay is idempotent. After replay the copy is
         bit-identical to the primary at the last entry's version.
         """
-        tree = self.tree
-        nodes = self.iagent_nodes
         for op in ops:
-            version = op["version"]
-            if version <= self.version:
+            if op["version"] <= self.version:
                 continue
-            kind = op["op"]
-            if kind == "split":
-                tree.replay_split(
-                    op["kind"], op["owner"], op["bit"], op["new_owner"]
-                )
-                nodes[op["new_owner"]] = op["new_node"]
-            elif kind == "merge":
-                tree.apply_merge(op["owner"])
-                nodes.pop(op["owner"], None)
-            elif kind == "move":
-                nodes[op["owner"]] = op["node"]
-            else:
-                raise CoreError(f"unknown journal op {kind!r}")
-            self.version = version
+            apply_journal_entry(self.tree, self.iagent_nodes, op)
+            self.version = op["version"]
 
     def resolve(self, agent_id: AgentId):
         """Map an agent id to ``(iagent_id, node_name)`` via this copy."""

@@ -104,12 +104,20 @@ class LoadStatistics:
         """Start tracking a transferred-in agent, seeding its load."""
         self.per_agent[agent_key] = self.per_agent.get(agent_key, 0) + load
 
+    def load_of(self, agent_key: Hashable) -> int:
+        """An agent's accumulated load (0 if untracked)."""
+        return self.per_agent.get(agent_key, 0)
+
     def rate(self, now: float) -> float:
         return self.total.rate(now)
 
     def loads(self) -> Dict[Hashable, int]:
         """A snapshot of per-agent accumulated loads."""
         return dict(self.per_agent)
+
+    def bit_loads(self) -> Dict[str, int]:
+        """Per-agent loads keyed by id bit string (the ``get-loads`` reply)."""
+        return {agent_id.bits: load for agent_id, load in self.per_agent.items()}
 
 
 def split_loads(
@@ -225,12 +233,18 @@ class GroupedLoadStatistics:
         members = self.group_members.get(group, 1)
         return self.group_loads.get(group, 0) // max(members, 1)
 
+    #: The per-agent load the IAgent transfers on extract (an estimate).
+    load_of = estimated_agent_load
+
     def rate(self, now: float) -> float:
         return self.total.rate(now)
 
     def loads(self) -> Dict[str, int]:
         """Group-prefix keyed loads (prefixes are ``group_depth`` bits)."""
         return dict(self.group_loads)
+
+    #: Group prefixes already are bit strings.
+    bit_loads = loads
 
     @property
     def tracked_entries(self) -> int:

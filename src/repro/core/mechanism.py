@@ -83,7 +83,7 @@ class HashLocationMechanism(LocationMechanism):
         # space; rehashing grows the population on demand.
         first_node = nodes[-1]
         first = runtime.create_agent(IAgent, first_node, mechanism=self)
-        first.coverage = ""  # the empty pattern matches every id
+        first.table.set_coverage({"pattern": ""})  # "" matches every id
         self.iagents[first.agent_id] = first
 
         tree = HashTree(first.agent_id, width=runtime.namer.width)

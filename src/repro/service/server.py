@@ -49,16 +49,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core import records as iagent_records
 from repro.core.config import HashMechanismConfig
 from repro.core.errors import CoreError
 from repro.core.hagent import delta_reply
 from repro.core.hash_tree import HashTree
-from repro.core.iagent import NO_RECORD, NOT_RESPONSIBLE, OK, pattern_matches
-from repro.core.lhagent import HashFunctionCopy
+from repro.core.lhagent import HashFunctionCopy, apply_journal_entry
 from repro.core.load import LoadStatistics
+from repro.core.records import OK, Outcome, RecordTable
 from repro.core.rehashing import plan_split
-from repro.discovery.capability import matches_predicate, validate_capabilities
-from repro.discovery.hamming import ids_within, shards_within
+from repro.discovery.hamming import shards_within
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId, AgentNamer
@@ -90,7 +90,7 @@ from repro.service.routing import (
     shard_prefix,
     validate_shards,
 )
-from repro.storage import DurableStore
+from repro.storage import DurableStore, RecoveryResult
 
 __all__ = ["HAgentServer", "NodeServer", "ServiceConfig"]
 
@@ -406,141 +406,69 @@ class _Reject(ServiceError):
 class IAgentEndpoint:
     """The live Information Agent: one hash-tree leaf's directory shard.
 
-    The same record-table protocol as :class:`repro.core.iagent.IAgent`
-    (register / update / unregister / locate / extract / adopt ...), with
-    wall-clock :class:`repro.core.load.LoadStatistics` and per-record
-    sequence numbers for idempotent re-registration.
+    Its record table and handlers are a
+    :class:`repro.core.records.RecordTable`, the same the simulator's
+    :class:`repro.core.iagent.IAgent` drives. This endpoint adds what is
+    live-only: epoch fencing of the rehash ops, journaling, the batch
+    ops, the load-report loop and wall-clock load statistics. Requests
+    carry per-record sequence numbers for idempotent re-registration.
 
     With a :class:`~repro.storage.DurableStore` attached, every mutation
-    of the shard is journaled *after* it is applied and *before* it is
-    acknowledged; :meth:`apply_mutation` is the matching replay reducer,
-    so recovery re-runs exactly the in-memory transitions. Query-side
-    state (load statistics) is deliberately soft: it re-warms from
-    traffic.
+    a handler returns is journaled *after* it is applied and *before* it
+    is acknowledged; recovery replays the journal through the same
+    :func:`repro.core.records.apply` reducer, so it re-runs exactly the
+    in-memory transitions. Query-side state (load statistics) is
+    deliberately soft: it re-warms from traffic.
     """
 
     def __init__(
         self,
         owner: AgentId,
         node: "NodeServer",
-        pattern: Optional[str],
         store: Optional[DurableStore] = None,
         shard: int = 0,
+        state: Optional[Dict] = None,
     ) -> None:
         self.owner = owner
         self.node = node
         #: Which coordinator shard this leaf reports to and takes
         #: rehash orders from.
         self.shard = shard
-        self.coverage = pattern
-        #: agent id -> [node name, sequence number].
-        self.records: Dict[AgentId, List] = {}
-        #: agent id -> typed capability set (discovery subsystem). Rides
-        #: with the record through extract/adopt and the journal.
-        self.capabilities: Dict[AgentId, Dict] = {}
         self.stats = LoadStatistics(node.config.mechanism.rate_window)
+        self.table = RecordTable(self.stats, time.monotonic, state)
         self.report_task: Optional[asyncio.Task] = None
         self.store = store
         #: Set by a warm restart: how much state came back from disk.
         self.records_recovered = 0
         self.wal_replayed = 0
 
-    # -- durability -----------------------------------------------------
+    def stop(self, crash: bool = False) -> None:
+        """Cancel the report loop and close the store; a crash abandons
+        the store without the final sync."""
+        if self.report_task is not None:
+            self.report_task.cancel()
+        if self.store is not None and crash:
+            self.store.abort()
+        elif self.store is not None:
+            self.store.close()
 
-    @staticmethod
-    def initial_state() -> Dict:
-        """The durable-state shape: coverage + records + capabilities."""
-        return {"coverage": None, "records": {}, "capabilities": {}}
-
-    @staticmethod
-    def apply_mutation(state: Dict, op: Dict) -> None:
-        """Replay one journaled mutation onto a durable-state dict.
-
-        Mirrors the live handlers exactly (including the sequence-number
-        conflict rule), so ``recover()`` = the same transitions, re-run.
-        """
-        records = state["records"]
-        # setdefault: snapshots written before the discovery subsystem
-        # have no capability table.
-        capabilities = state.setdefault("capabilities", {})
-        kind = op["op"]
-        if kind == "put":
-            existing = records.get(op["agent"])
-            if existing is None or op["seq"] >= existing[1]:
-                records[op["agent"]] = [op["node"], op["seq"]]
-                if "caps" in op:
-                    capabilities[op["agent"]] = op["caps"]
-        elif kind == "del":
-            records.pop(op["agent"], None)
-            capabilities.pop(op["agent"], None)
-        elif kind == "caps":
-            if op["caps"] is None:
-                capabilities.pop(op["agent"], None)
-            elif op["agent"] in records:
-                capabilities[op["agent"]] = op["caps"]
-        elif kind == "coverage":
-            state["coverage"] = op["pattern"]
-        elif kind == "extract":
-            for agent_id in list(records):
-                if not pattern_matches(op["pattern"], agent_id.bits):
-                    del records[agent_id]
-                    capabilities.pop(agent_id, None)
-            state["coverage"] = op["pattern"]
-        elif kind == "clear":
-            state["records"] = {}
-            state["capabilities"] = {}
-            state["coverage"] = None
-        elif kind == "adopt":
-            if "pattern" in op:
-                state["coverage"] = op["pattern"]
-            caps_in = op.get("capabilities", {})
-            for agent_id, record in op.get("records", {}).items():
-                existing = records.get(agent_id)
-                if existing is None or record[1] >= existing[1]:
-                    records[agent_id] = list(record)
-                    if agent_id in caps_in:
-                        capabilities[agent_id] = caps_in[agent_id]
-        else:  # pragma: no cover - would be a writer bug
-            raise ValueError(f"unknown IAgent mutation {kind!r}")
-
-    def durable_state(self) -> Dict:
-        return {
-            "coverage": self.coverage,
-            "records": self.records,
-            "capabilities": self.capabilities,
-        }
-
-    def _log(self, op: Dict) -> None:
-        """Journal one applied mutation; fold into a snapshot when due."""
-        if self.store is None:
-            return
-        self.store.log(op)
-        if self.store.should_snapshot:
-            self.store.snapshot(self.durable_state())
+    def _commit(self, outcome: Outcome) -> Dict:
+        """Journal a handler's mutation (if any); fold into a snapshot
+        when due; return its reply."""
+        reply, mutation = outcome
+        if mutation is not None and self.store is not None:
+            self.store.log(mutation)
+            if self.store.should_snapshot:
+                self.store.snapshot(self.table.state)
+        return reply
 
     # -- op handlers (named like the simulator IAgent's) ----------------
 
     def op_register(self, body: Dict) -> Dict:
-        return self._store(body)
+        return self._commit(self.table.register(body))
 
     def op_update(self, body: Dict) -> Dict:
-        return self._store(body)
-
-    def _store(self, body: Dict) -> Dict:
-        agent_id, node, seq = body["agent"], body["node"], body.get("seq", 0)
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        existing = self.records.get(agent_id)
-        if existing is None or seq >= existing[1]:
-            self.records[agent_id] = [node, seq]
-            entry = {"op": "put", "agent": agent_id, "node": node, "seq": seq}
-            caps = body.get("capabilities")
-            if caps is not None:
-                self.capabilities[agent_id] = validate_capabilities(caps)
-                entry["caps"] = caps
-            self._log(entry)
-        self.stats.record_update(agent_id, time.monotonic())
-        return {"status": OK}
+        return self._commit(self.table.update(body))
 
     def op_register_batch(self, body: Dict) -> Dict:
         """Apply many register/update records in one round-trip.
@@ -550,29 +478,17 @@ class IAgentEndpoint:
         from N singles except for the saved round-trips; per-item
         statuses let the client fall back selectively.
         """
-        return {"status": OK, "results": [self._store(op) for op in body["ops"]]}
+        table = self.table
+        return {
+            "status": OK,
+            "results": [self._commit(table.register(op)) for op in body["ops"]],
+        }
 
     def op_unregister(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        existing = self.records.get(agent_id)
-        if existing is not None and body.get("seq", 0) >= existing[1]:
-            del self.records[agent_id]
-            self.capabilities.pop(agent_id, None)
-            self.stats.forget_agent(agent_id)
-            self._log({"op": "del", "agent": agent_id})
-        return {"status": OK}
+        return self._commit(self.table.unregister(body))
 
     def op_locate(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.stats.record_query(agent_id, time.monotonic())
-        record = self.records.get(agent_id)
-        if record is None:
-            return {"status": NO_RECORD}
-        return {"status": OK, "node": record[0], "seq": record[1]}
+        return self.table.locate(body)[0]
 
     def op_locate_batch(self, body: Dict) -> Dict:
         """Resolve many agents in one round-trip; per-item statuses."""
@@ -582,155 +498,34 @@ class IAgentEndpoint:
         }
 
     def op_get_loads(self, body: Dict) -> Dict:
-        loads = {
-            agent_id.bits: load for agent_id, load in self.stats.per_agent.items()
-        }
-        return {"status": OK, "loads": loads, "rate": self.stats.rate(time.monotonic())}
+        return self.table.get_loads(body)[0]
 
     def op_extract(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract")
-        pattern = body["pattern"]
-        moved_records: Dict[AgentId, List] = {}
-        moved_loads: Dict[AgentId, int] = {}
-        moved_caps: Dict[AgentId, Dict] = {}
-        for agent_id in list(self.records):
-            if not pattern_matches(pattern, agent_id.bits):
-                moved_records[agent_id] = self.records.pop(agent_id)
-                moved_loads[agent_id] = self.stats.per_agent.get(agent_id, 0)
-                self.stats.forget_agent(agent_id)
-                if agent_id in self.capabilities:
-                    moved_caps[agent_id] = self.capabilities.pop(agent_id)
-        self.coverage = pattern
-        self.stats.total.reset(time.monotonic())
-        # Replay recomputes the dropped records (and their capabilities)
-        # from the pattern, so the journal entry is O(1) regardless of
-        # how many records moved.
-        self._log({"op": "extract", "pattern": pattern})
-        return {
-            "status": OK,
-            "records": moved_records,
-            "loads": moved_loads,
-            "capabilities": moved_caps,
-        }
+        return self._commit(self.table.extract(body))
 
     def op_extract_all(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract-all")
-        records, self.records = self.records, {}
-        caps, self.capabilities = self.capabilities, {}
-        loads = {
-            agent_id: self.stats.per_agent.get(agent_id, 0) for agent_id in records
-        }
-        for agent_id in records:
-            self.stats.forget_agent(agent_id)
-        self.coverage = None
-        self._log({"op": "clear"})
-        return {"status": OK, "records": records, "loads": loads,
-                "capabilities": caps}
+        return self._commit(self.table.extract_all(body))
 
     def op_adopt(self, body: Dict) -> Dict:
         self.node.check_fence(body, "adopt")
-        if "pattern" in body:
-            self.coverage = body["pattern"]
-        caps_in = body.get("capabilities", {})
-        for agent_id, record in body.get("records", {}).items():
-            existing = self.records.get(agent_id)
-            if existing is None or record[1] >= existing[1]:
-                self.records[agent_id] = list(record)
-                if agent_id in caps_in:
-                    self.capabilities[agent_id] = caps_in[agent_id]
-        for agent_id, load in body.get("loads", {}).items():
-            self.stats.adopt_agent(agent_id, load)
-        # Adopted records come from another shard, so (unlike extract)
-        # they must ride in the journal entry itself.
-        entry: Dict[str, Any] = {
-            "op": "adopt",
-            "records": {
-                agent_id: list(record)
-                for agent_id, record in body.get("records", {}).items()
-            },
-        }
-        if caps_in:
-            entry["capabilities"] = dict(caps_in)
-        if "pattern" in body:
-            entry["pattern"] = body["pattern"]
-        self._log(entry)
-        return {"status": OK}
+        return self._commit(self.table.adopt(body))
 
     def op_set_coverage(self, body: Dict) -> Dict:
         self.node.check_fence(body, "set-coverage")
-        self.coverage = body["pattern"]
-        self._log({"op": "coverage", "pattern": body["pattern"]})
-        return {"status": OK}
+        return self._commit(self.table.set_coverage(body))
 
     # -- discovery subsystem --------------------------------------------
 
     def op_set_capabilities(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        if agent_id not in self.records:
-            return {"status": NO_RECORD}
-        caps = body.get("capabilities")
-        if caps is None:
-            self.capabilities.pop(agent_id, None)
-        else:
-            self.capabilities[agent_id] = validate_capabilities(caps)
-        self.stats.record_update(agent_id, time.monotonic())
-        self._log({"op": "caps", "agent": agent_id, "caps": caps})
-        return {"status": OK}
-
-    def _check_candidate_pattern(self, body: Dict) -> Optional[Dict]:
-        """Staleness gate for multi-result queries.
-
-        The client learned of this IAgent from a secondary copy and
-        passes the coverage pattern that copy attributed to it. If the
-        actual coverage differs -- this leaf split, merged or was taken
-        over since -- answering would silently return a partial result
-        set, so bounce with NOT_RESPONSIBLE and let the client refresh
-        its copy and recompute the candidate set (§4.3, per query).
-        """
-        pattern = body.get("pattern")
-        if pattern is not None and pattern != self.coverage:
-            return {"status": NOT_RESPONSIBLE}
-        return None
+        return self._commit(self.table.set_capabilities(body))
 
     def op_discover_similar(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        matches = [
-            {
-                "agent": other,
-                "node": self.records[other][0],
-                "seq": self.records[other][1],
-                "distance": dist,
-            }
-            for other, dist in ids_within(self.records, body["agent"], body["d"])
-        ]
-        return {"status": OK, "matches": matches}
+        return self.table.discover_similar(body)[0]
 
     def op_discover_capability(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        predicate = body["predicate"]
-        # Filter first, sort the (much smaller) match set after: sorting
-        # the whole capability table per query dominates batched rounds.
-        hits = sorted(
-            agent_id
-            for agent_id, caps in self.capabilities.items()
-            if agent_id in self.records and matches_predicate(caps, predicate)
-        )
-        matches = [
-            {
-                "agent": agent_id,
-                "node": self.records[agent_id][0],
-                "seq": self.records[agent_id][1],
-                "capabilities": self.capabilities[agent_id],
-            }
-            for agent_id in hits
-        ]
-        return {"status": OK, "matches": matches}
+        return self.table.discover_capability(body)[0]
 
     def op_discover_similar_batch(self, body: Dict) -> Dict:
         """Run many similarity queries in one round-trip."""
@@ -750,7 +545,7 @@ class IAgentEndpoint:
         return {
             "status": OK,
             "node": self.node.name,
-            "records": len(self.records),
+            "records": len(self.table.records),
             "records_recovered": self.records_recovered,
         }
 
@@ -774,7 +569,7 @@ class IAgentEndpoint:
                         "mature": self.stats.total.mature(
                             now, config.mechanism.warmup_fraction
                         ),
-                        "records": len(self.records),
+                        "records": len(self.table.records),
                         "node": self.node.name,
                         "shard": self.shard,
                     },
@@ -1377,10 +1172,7 @@ class NodeServer(_FramedServer):
         endpoint = self.iagents.pop(owner, None)
         if endpoint is None:
             return
-        if endpoint.report_task is not None:
-            endpoint.report_task.cancel()
-        if endpoint.store is not None:
-            endpoint.store.close()
+        endpoint.stop()
         self.orphans_retired += 1
 
     def nodeop_new_primary(self, body: Dict) -> Dict:
@@ -1409,35 +1201,35 @@ class NodeServer(_FramedServer):
     ) -> Dict:
         """Create an IAgent endpoint, fresh or warm-recovered from disk."""
         store = self._iagent_store(owner)
-        endpoint = IAgentEndpoint(owner, self, pattern, store=store, shard=shard)
+        recovered: Optional[RecoveryResult] = None
+        if store is not None and recover and store.has_data:
+            recovered = store.recover(
+                initial=iagent_records.initial_state, apply=iagent_records.apply
+            )
+        elif store is not None:
+            # A *new* incarnation (bootstrap, split, cross-node
+            # takeover): stale history must not resurrect into it.
+            store.reset()
+        endpoint = IAgentEndpoint(
+            owner,
+            self,
+            store=store,
+            shard=shard,
+            state=recovered.state if recovered is not None else None,
+        )
+        # A pattern from the HAgent (takeover) wins; otherwise the
+        # recovered coverage stands. "" covers everything, so test
+        # against None, not truthiness.
+        if pattern is not None:
+            endpoint._commit(endpoint.table.set_coverage({"pattern": pattern}))
         recovery_s = 0.0
-        if store is not None:
-            if recover and store.has_data:
-                result = store.recover(
-                    initial=IAgentEndpoint.initial_state,
-                    apply=IAgentEndpoint.apply_mutation,
-                )
-                endpoint.records = result.state["records"]
-                endpoint.capabilities = result.state.get("capabilities", {})
-                # A pattern from the HAgent (takeover) wins; otherwise
-                # the recovered coverage stands. "" covers everything,
-                # so test against None, not truthiness.
-                if pattern is None:
-                    endpoint.coverage = result.state["coverage"]
-                endpoint.records_recovered = len(endpoint.records)
-                endpoint.wal_replayed = result.replayed
-                recovery_s = result.elapsed_s
-                # Fold the recovered state into a fresh snapshot so the
-                # next restart replays only post-recovery mutations.
-                store.snapshot(endpoint.durable_state())
-                if pattern is not None:
-                    endpoint._log({"op": "coverage", "pattern": pattern})
-            else:
-                # A *new* incarnation (bootstrap, split, cross-node
-                # takeover): stale history must not resurrect into it.
-                store.reset()
-                if pattern is not None:
-                    endpoint._log({"op": "coverage", "pattern": pattern})
+        if store is not None and recovered is not None:
+            endpoint.records_recovered = len(endpoint.table.records)
+            endpoint.wal_replayed = recovered.replayed
+            recovery_s = recovered.elapsed_s
+            # Fold the recovered state into a fresh snapshot so the
+            # next restart replays only post-recovery mutations.
+            store.snapshot(endpoint.table.state)
         self.crashed.discard(owner)
         self.iagents[owner] = endpoint
         endpoint.report_task = self.spawn(
@@ -1475,10 +1267,7 @@ class NodeServer(_FramedServer):
         endpoint = self.iagents.pop(owner, None)
         if endpoint is not None:
             shard = endpoint.shard
-            if endpoint.report_task is not None:
-                endpoint.report_task.cancel()
-            if endpoint.store is not None:
-                endpoint.store.abort()
+            endpoint.stop(crash=True)
         elif owner not in self.crashed:
             raise _Reject(f"{AGENT_NOT_FOUND}: no agent {owner} on {self.name}")
         return self._host_iagent(owner, None, recover=True, shard=shard)
@@ -1488,10 +1277,7 @@ class NodeServer(_FramedServer):
         self.check_fence(body, "retire-iagent")
         endpoint = self.iagents.pop(body["owner"], None)
         if endpoint is not None:
-            if endpoint.report_task is not None:
-                endpoint.report_task.cancel()
-            if endpoint.store is not None:
-                endpoint.store.close()
+            endpoint.stop()
         return {"status": OK}
 
     def nodeop_crash_iagent(self, body: Dict) -> Dict:
@@ -1507,12 +1293,9 @@ class NodeServer(_FramedServer):
         endpoint = self.iagents.pop(owner, None)
         if endpoint is None:
             raise _Reject(f"{AGENT_NOT_FOUND}: no agent {owner} on {self.name}")
-        if endpoint.report_task is not None:
-            endpoint.report_task.cancel()
-        if endpoint.store is not None:
-            endpoint.store.abort()
+        endpoint.stop(crash=True)
         self.crashed.add(owner)
-        return {"status": OK, "records_lost": len(endpoint.records)}
+        return {"status": OK, "records_lost": len(endpoint.table.records)}
 
     def nodeop_node_stats(self, body: Dict) -> Dict:
         return {
@@ -1542,8 +1325,7 @@ class NodeServer(_FramedServer):
     async def stop(self) -> None:
         await super().stop()
         for endpoint in self.iagents.values():
-            if endpoint.store is not None:
-                endpoint.store.close()
+            endpoint.stop()
         await self.channel.close()
 
 
@@ -1824,25 +1606,10 @@ class HAgentServer(_FramedServer):
             raise ValueError(f"unknown HAgent mutation {kind!r}")
 
     def _apply_journal_entry(self, entry: Dict) -> None:
-        """One rehash journal entry onto the local tree state.
-
-        Mirrors :meth:`repro.core.lhagent.HashFunctionCopy.apply_ops`,
-        one entry at a time; shared by WAL replay and standby sync.
-        """
-        ekind = entry["op"]
+        """One rehash journal entry onto the local tree state; shared by
+        WAL replay and standby sync."""
         assert self.tree is not None
-        if ekind == "split":
-            self.tree.replay_split(
-                entry["kind"], entry["owner"], entry["bit"], entry["new_owner"]
-            )
-            self.iagent_nodes[entry["new_owner"]] = entry["new_node"]
-        elif ekind == "merge":
-            self.tree.apply_merge(entry["owner"])
-            self.iagent_nodes.pop(entry["owner"], None)
-        elif ekind == "move":
-            self.iagent_nodes[entry["owner"]] = entry["node"]
-        else:  # pragma: no cover - would be a writer bug
-            raise ValueError(f"unknown rehash journal op {ekind!r}")
+        apply_journal_entry(self.tree, self.iagent_nodes, entry)
         self.version = entry["version"]
         self.journal.append(entry)
 
